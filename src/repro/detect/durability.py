@@ -13,28 +13,17 @@ reports stores whose durability obligation is unmet:
 Redundant flushes of clean lines are reported separately as performance
 diagnostics (never fixed; paper §7).
 
-The checker is *streaming*: its per-trace mutable state lives in a
-:class:`CheckerState` that events are fed into one at a time, and which
-can be :meth:`forked <CheckerState.fork>` at any event boundary.  The
-incremental revalidation engine (:mod:`repro.revalidate`) exploits this
-to resume checking from a mid-trace point — the forked state continues
-exactly where a full pass would be, so report ids, occurrence counts,
-and orderings stay byte-identical with a from-scratch check.  Plain
-:meth:`DurabilityChecker.check` is a feed loop over one state.
-
-An optional :class:`ChainIndex` collector records, per durability chain
-(PM cache line), the instruction iids the chain depends on and the bug
-keys attributed to it — the *dependency index* consumed by incremental
-revalidation and its equivalence tests.  Collection is observational
-only: it never changes what the checker reports.
+The checker is one pass over the trace: its per-trace mutable state
+lives in a :class:`CheckerState` that events are fed into one at a
+time, and :meth:`DurabilityChecker.check` is a feed loop over one
+state.
 """
 
 from __future__ import annotations
 
 import bisect
-import copy
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..memory.layout import lines_covering
 from ..trace.events import (
@@ -50,10 +39,7 @@ from .reports import BugKind, BugReport, DetectionResult, PerfReport
 #: (store event, flush event or None) pending on a line
 _Pending = Tuple[StoreEvent, Optional[FlushEvent]]
 
-#: A stable identity for one reported bug: (store iid, kind, caller
-#: path).  Unlike ``report_id`` (assigned in discovery order) this is
-#: comparable *across* detection runs, which is what the differential
-#: revalidation tests key on.
+#: One report per (store iid, kind, caller path) — see ``_report``.
 BugKey = Tuple[int, BugKind, Tuple[int, ...]]
 
 #: A boundary policy maps a boundary event to either None (skip), the
@@ -78,73 +64,9 @@ def _pmtest_policy(boundary: BoundaryEvent) -> Optional[object]:
     return (lo, lo + int(size_text))
 
 
-def bug_key(report: BugReport) -> BugKey:
-    """The run-independent identity of a report (see :data:`BugKey`)."""
-    path = tuple(frame.iid for frame in report.store.caller_frames)
-    return (report.store.iid, report.kind, path)
-
-
-class ChainIndex:
-    """The dependency index: per-chain iids and bug attribution.
-
-    A *chain* is one PM cache line's durability history — the unit the
-    checker's state machine tracks (``dirty``/``flushing`` per line).
-    For each chain the index records every instruction iid that
-    contributed an event to it (stores, flushes, fences that drained or
-    ordered it, boundaries that checked it) plus the call-path iids of
-    those events, and the :data:`BugKey`\\ s of bugs attributed to it.
-    """
-
-    def __init__(self) -> None:
-        #: line address -> iids of instructions the chain depends on
-        self.chain_iids: Dict[int, Set[int]] = {}
-        #: line address -> bug keys attributed to stores on the line
-        self.bugs_by_line: Dict[int, Set[BugKey]] = {}
-        #: total events observed (cheap cost accounting)
-        self.events_observed = 0
-
-    def observe_event(self, event: TraceEvent, line_addrs: Iterable[int]) -> None:
-        self.events_observed += 1
-        path = [frame.iid for frame in event.stack[:-1]]
-        for line_addr in line_addrs:
-            deps = self.chain_iids.setdefault(line_addr, set())
-            deps.add(event.iid)
-            deps.update(path)
-
-    def observe_bug(
-        self, key: BugKey, store: StoreEvent, line_addrs: Iterable[int]
-    ) -> None:
-        for line_addr in line_addrs:
-            self.bugs_by_line.setdefault(line_addr, set()).add(key)
-
-    # -- queries --------------------------------------------------------------
-
-    def chains(self) -> Set[int]:
-        """All chain (line) addresses with at least one observed event."""
-        return set(self.chain_iids)
-
-    def chains_depending_on(self, iids: Iterable[int]) -> Set[int]:
-        """Chains whose dependency set intersects ``iids``."""
-        wanted = set(iids)
-        return {
-            line_addr
-            for line_addr, deps in self.chain_iids.items()
-            if deps & wanted
-        }
-
-    def bug_keys_for(self, line_addr: int) -> Set[BugKey]:
-        return set(self.bugs_by_line.get(line_addr, ()))
-
-
 @dataclass
 class CheckerState:
-    """The checker's complete mutable state after some event prefix.
-
-    Forking deep-copies every mutable layer (the per-line event lists,
-    the report objects whose ``occurrences`` mutate on re-attribution),
-    so feeding events into a fork never disturbs the original — the
-    invariant the incremental engine's memoized forks rely on.
-    """
+    """The checker's complete mutable state after some event prefix."""
 
     dirty: Dict[int, List[StoreEvent]] = field(default_factory=dict)
     flushing: Dict[int, List[_Pending]] = field(default_factory=dict)
@@ -153,27 +75,12 @@ class CheckerState:
     attributed_seqs: Set[int] = field(default_factory=set)
     perf: Dict[int, PerfReport] = field(default_factory=dict)
 
-    def fork(self) -> "CheckerState":
-        return CheckerState(
-            dirty={line: list(stores) for line, stores in self.dirty.items()},
-            flushing={line: list(pairs) for line, pairs in self.flushing.items()},
-            fence_seqs=list(self.fence_seqs),
-            reports={key: copy.copy(bug) for key, bug in self.reports.items()},
-            attributed_seqs=set(self.attributed_seqs),
-            perf={iid: copy.copy(note) for iid, note in self.perf.items()},
-        )
-
 
 class DurabilityChecker:
     """Offline trace analysis (the detector half of Fig. 2's pipeline)."""
 
-    def __init__(
-        self,
-        boundary_policy: BoundaryPolicy = _pmemcheck_policy,
-        collector: Optional[ChainIndex] = None,
-    ):
+    def __init__(self, boundary_policy: BoundaryPolicy = _pmemcheck_policy):
         self.boundary_policy = boundary_policy
-        self.collector = collector
 
     # -- streaming API --------------------------------------------------------
 
@@ -183,20 +90,16 @@ class DurabilityChecker:
     def feed(self, state: CheckerState, event: TraceEvent) -> None:
         """Advance ``state`` by one trace event."""
         dirty, flushing = state.dirty, state.flushing
-        collector = self.collector
         if isinstance(event, StoreEvent):
             if event.space != "pm":
                 return
-            lines = lines_covering(event.addr, event.size)
-            for line_addr in lines:
+            for line_addr in lines_covering(event.addr, event.size):
                 if event.nontemporal:
                     # MOVNT: already write-combining-queued; it
                     # needs no flush, only an ordering fence.
                     flushing.setdefault(line_addr, []).append((event, None))
                 else:
                     dirty.setdefault(line_addr, []).append(event)
-            if collector is not None:
-                collector.observe_event(event, lines)
         elif isinstance(event, FlushEvent):
             line_addr = event.line_addr
             if not event.had_work:
@@ -214,26 +117,13 @@ class DurabilityChecker:
                     flushing.setdefault(line_addr, []).extend(
                         (store, event) for store in pending
                     )
-            if collector is not None:
-                collector.observe_event(event, (line_addr,))
         elif isinstance(event, FenceEvent):
-            if collector is not None:
-                # A fence drains the queued lines and, by existing at
-                # all, decides the flush-vs-flush&fence classification
-                # of every dirty store — both depend on it.
-                collector.observe_event(
-                    event, list(flushing.keys()) + list(dirty.keys())
-                )
             state.fence_seqs.append(event.seq)
             flushing.clear()
         elif isinstance(event, BoundaryEvent):
             scope = self.boundary_policy(event)
             if scope is None:
                 return
-            if collector is not None:
-                collector.observe_event(
-                    event, list(dirty.keys()) + list(flushing.keys())
-                )
 
             def in_scope(store: StoreEvent) -> bool:
                 if scope == "all":
@@ -290,10 +180,6 @@ class DurabilityChecker:
             )
         else:
             existing.occurrences += 1
-        if self.collector is not None:
-            self.collector.observe_bug(
-                key, store, lines_covering(store.addr, store.size)
-            )
 
     def finalize(self, state: CheckerState) -> DetectionResult:
         """Package a state's accumulated findings (state is unchanged)."""
@@ -321,12 +207,3 @@ def check_trace(trace: PMTrace) -> DetectionResult:
 def check_trace_pmtest(trace: PMTrace) -> DetectionResult:
     """Run the PMTest-style assertion checker over a trace."""
     return DurabilityChecker(_pmtest_policy).check(trace)
-
-
-def check_trace_with_dependencies(
-    trace: PMTrace, boundary_policy: BoundaryPolicy = _pmemcheck_policy
-) -> Tuple[DetectionResult, ChainIndex]:
-    """Check a trace while collecting the chain dependency index."""
-    index = ChainIndex()
-    checker = DurabilityChecker(boundary_policy, collector=index)
-    return checker.check(trace), index

@@ -15,29 +15,16 @@ oblivious to which tool found the bug.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..trace.trace import PMTrace
-from .durability import (
-    ChainIndex,
-    _pmtest_policy,
-    check_trace_pmtest,
-    check_trace_with_dependencies,
-)
+from .durability import check_trace_pmtest
 from .reports import DetectionResult
 
 
 def check_assertions(trace: PMTrace) -> DetectionResult:
     """Validate every ``pmtest_assert_persisted`` assertion in a trace."""
     return check_trace_pmtest(trace)
-
-
-def check_assertions_with_dependencies(
-    trace: PMTrace,
-) -> Tuple[DetectionResult, ChainIndex]:
-    """Assertion checking plus the chain dependency index (the PMTest
-    front-end's feed into incremental revalidation)."""
-    return check_trace_with_dependencies(trace, _pmtest_policy)
 
 
 def assertion_labels(trace: PMTrace) -> List[str]:

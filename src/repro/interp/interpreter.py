@@ -241,8 +241,7 @@ class Interpreter:
         self.metrics = metrics
         #: optional :class:`~repro.revalidate.recording.RunRecorder`:
         #: notified at top-level call boundaries so incremental
-        #: revalidation can memoize machine snapshots and per-segment
-        #: executed-iid sets.  None (the default) keeps plain runs on
+        #: revalidation can record per-segment executed-iid sets.  None (the default) keeps plain runs on
         #: the unrecorded path — one pointer compare per call plus one
         #: ``is None`` test per step.
         self._run_recorder = run_recorder
@@ -295,7 +294,7 @@ class Interpreter:
         recorder = self._run_recorder
         top_level = not self.frames
         if recorder is not None and top_level:
-            recorder.begin_call(self, fn_name, args)
+            recorder.begin_call(self)
         start_steps = self.steps
         start_cycles = self.costs.cycles
         start_output = len(self.output)
@@ -307,7 +306,7 @@ class Interpreter:
             output=self.output[start_output:],
         )
         if recorder is not None and top_level:
-            recorder.end_call(self, result)
+            recorder.end_call(self)
         return result
 
     def finish(self) -> PMTrace:

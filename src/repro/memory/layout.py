@@ -93,28 +93,10 @@ class Region:
         """Highest offset ever allocated or written.
 
         Bytes at or beyond this offset are zero by construction, which
-        is what lets a machine snapshot copy only the live prefix of a
-        region instead of all 16 MiB.
+        is what lets pooled reuse zero only the live prefix of a region
+        instead of all 16 MiB.
         """
         return self._high_water
-
-    def note_high_water(self, offset: int) -> None:
-        """Raise the high-water mark (snapshot restore)."""
-        if offset > self._high_water:
-            self._high_water = offset
-
-    def reset_high_water(self, offset: int) -> None:
-        """Set the high-water mark exactly (pooled snapshot restore).
-
-        Unlike :meth:`note_high_water` this may *lower* the mark, so the
-        caller must have re-established the invariant that every byte at
-        or beyond ``offset`` is zero.
-        """
-        if offset < 0 or offset > self.size:
-            raise MemoryError_(
-                f"bad high-water {offset} for region {self.name!r}"
-            )
-        self._high_water = offset
 
     def reset(self) -> None:
         """Return the region to its freshly constructed state.

@@ -118,23 +118,6 @@ class PersistentImage:
 
     # -- pooled reuse ---------------------------------------------------------------
 
-    def restore_prefix(self, durable: bytes) -> None:
-        """Make the durable view exactly ``durable`` padded with zeroes.
-
-        Equivalent to constructing a fresh image over an all-zero PM
-        region and then writing ``durable`` at offset 0, but reuses the
-        existing buffer: stale bytes between ``len(durable)`` and the
-        previous dirty bound are zeroed explicitly.
-        """
-        if len(durable) > len(self._durable):
-            raise IndexError("restore image larger than the PM region")
-        if self._dirty_high > len(durable):
-            self._durable[len(durable) : self._dirty_high] = bytes(
-                self._dirty_high - len(durable)
-            )
-        self._durable[: len(durable)] = durable
-        self._dirty_high = len(durable)
-
     def reset(self) -> None:
         """Return the image to its freshly constructed, all-zero state.
 

@@ -3,7 +3,7 @@
 A corpus case is construction-bound: at ~2.8K interpreted steps per
 case, allocating three 16 MiB :class:`~repro.memory.layout.Region`
 buffers plus the 16 MiB :class:`~repro.memory.persistence.PersistentImage`
-copy for every detect / replay / revalidate run costs more than the
+copy for every detect / revalidate run costs more than the
 interpretation itself.  :class:`MachinePool` keeps retired
 ``(AddressSpace, PersistentImage)`` pairs and hands them back out,
 resetting only the live prefixes in place (regions zero up to their
@@ -12,15 +12,15 @@ reallocating.
 
 The pool is a pure allocation cache: a machine built from pooled parts
 is byte-for-byte indistinguishable from one built from fresh buffers.
-Two reset disciplines cover the two construction paths:
+Two acquire disciplines exist:
 
 * ``acquire`` — for fresh-machine construction (detect, re-record).
   The pair comes back fully reset: all-zero regions, all-zero durable
   view, zeroed counters.
-* ``acquire_raw`` — for :meth:`MachineSnapshot.materialize`, which
-  overwrites state wholesale anyway.  The pair comes back *dirty* and
-  the snapshot-restore path zeroes exactly the gaps it does not
-  overwrite (see ``_restore_region`` / ``restore_prefix``).
+* ``acquire_raw`` — the pair comes back *dirty*, and the caller
+  re-establishes every invariant itself.  No pipeline path calls it;
+  it stays while ``perfbench/tracing.py`` times it, and leaves together
+  with the pool.
 
 Pairs are released raw (no reset on release), so a release is O(1); the
 zeroing cost is paid only when a pair is actually reused.  The pool is
@@ -93,7 +93,7 @@ class MachinePool:
         stack_size: int,
         pm_size: int,
     ) -> Optional[Tuple[AddressSpace, PersistentImage]]:
-        """A dirty pair for snapshot restore, or ``None`` on a miss.
+        """A dirty pair, or ``None`` on a miss.
 
         The caller owns re-establishing every invariant: region
         contents, brk and high-water marks, and the durable prefix.

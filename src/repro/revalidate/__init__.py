@@ -6,14 +6,10 @@ interpreter — measured at ~90% of per-task time together with the
 initial detection (EXPERIMENTS E11).  This package removes that cost
 for the common case:
 
-- :mod:`snapshot` — deep-copied machine state memoized at top-level
-  call boundaries of the recording run.
 - :mod:`recording` — the :class:`~repro.revalidate.recording.RunRecorder`
-  the interpreter notifies at call boundaries; owns the segments, their
-  executed-iid sets, and snapshot thinning.
-- :mod:`replay` — a :class:`~repro.revalidate.replay.ReplayInterpreter`
-  that resumes a driver from a materialized snapshot, skipping the
-  already-executed calls.
+  the interpreter notifies at call boundaries; owns the segments'
+  executed-iid sets and the callee spans, next to the volatile-op side
+  channel of :class:`~repro.revalidate.recording.RecordingTraceRecorder`.
 - :mod:`witness` — the mutation witness: plain-data
   :class:`~repro.revalidate.witness.InsertionSpec` /
   :class:`~repro.revalidate.witness.StructuralSpec` descriptions of
@@ -28,11 +24,11 @@ for the common case:
   names, and stack frames differ.
 - :mod:`engine` — the
   :class:`~repro.revalidate.engine.IncrementalRevalidator` tying it to
-  the fix pipeline.  Tiering per revalidation: unchanged module →
-  baseline verdict; complete witness (flush/fence and/or structural) →
-  trace synthesis (no execution); witness without insertion specs →
-  snapshot replay from the last unaffected point; degraded witness or
-  any failure → full re-record.
+  the fix pipeline.  Three tiers per revalidation: unchanged module (or
+  anchors only in never-executed code) → baseline verdict; complete
+  witness (flush/fence and/or structural) → trace synthesis (no
+  execution) checked in one plain pass; degraded witness or any failure
+  → full re-record.
 
 The engine's contract is *byte-identity*: detection results, canonical
 reports, and do-no-harm verdicts are identical with the engine on or
@@ -42,13 +38,6 @@ property suite).
 
 from .engine import IncrementalRevalidator, RevalidationOutcome
 from .recording import CalleeSpan, RecordedRun, RunRecorder, VolAnchorOp
-from .replay import (
-    FlatReplayInterpreter,
-    ReplayDivergence,
-    ReplayInterpreter,
-    replay_class,
-)
-from .snapshot import MachineSnapshot
 from .synthesize import (
     SynthesisResult,
     synthesize_fixed_trace,
@@ -66,14 +55,9 @@ from .witness import (
 __all__ = [
     "CalleeSpan",
     "CloneSpec",
-    "FlatReplayInterpreter",
     "IncrementalRevalidator",
     "InsertionSpec",
-    "MachineSnapshot",
     "RecordedRun",
-    "replay_class",
-    "ReplayDivergence",
-    "ReplayInterpreter",
     "RevalidationOutcome",
     "RunRecorder",
     "StructuralSpec",

@@ -1,59 +1,51 @@
 """The incremental revalidation engine.
 
 Post-fix revalidation re-runs the workload and re-checks the trace.
-This engine makes the common case — flush/fence-only fixes, which is
-what Hippocrates inserts for every intraprocedural repair — incremental:
+This engine revalidates from the recorded trace alone whenever the
+mutation witness allows it:
 
 1. **Record** (:meth:`IncrementalRevalidator.record`): the initial
    detection run executes under a
-   :class:`~repro.revalidate.recording.RunRecorder`, memoizing machine
-   snapshots and executed-iid sets per top-level call, and the checker
-   pass builds the chain dependency index plus
-   :class:`~repro.detect.durability.CheckerState` forks at every
-   snapshot boundary.
+   :class:`~repro.revalidate.recording.RunRecorder`, keeping per
+   top-level call the executed-iid set, the callee spans, and the
+   volatile-op side channel next to the baseline trace.
 2. **Witness** (:meth:`note_commit`): after each committed fix, the
    :class:`~repro.core.transaction.FixTransaction` reports the *anchor*
    iids — the existing instructions the fix inserted flushes/fences
-   after — and whether the fix was structural.  Anchors accumulate
-   across fix rounds against the same recording.
+   after — plus an :class:`~repro.revalidate.witness.InsertionSpec`
+   per insertion and a
+   :class:`~repro.revalidate.witness.StructuralSpec` per retargeted
+   call site.  Witnesses accumulate across fix rounds against the same
+   recording.
 3. **Revalidate** (:meth:`revalidate`): flush/fence insertions change
-   no control flow and no data, so the fixed module's trace is a pure
-   function of the baseline trace.  With a complete witness
-   (:class:`~repro.revalidate.witness.InsertionSpec` per fix) the
-   engine *synthesizes* that trace — no execution at all — and
-   re-checks from the last memoized checker fork before the first
-   changed event.  With only anchor iids (no insertion specs) it
-   *replays* the interpreter from the last snapshot at or before the
-   first anchor-affected segment and feeds the replayed suffix through
-   the forked checker state.  Either way report ids, occurrence
-   counts, and orderings continue exactly as a full pass would —
-   byte-identical results.
+   no control flow and no data, and a clone executes the same
+   instructions on the same values, so with a complete witness the
+   fixed module's trace is a pure function of the baseline trace.  The
+   engine *synthesizes* that trace — no execution at all (see
+   :mod:`~repro.revalidate.synthesize`) — and checks it in one plain
+   :meth:`~repro.detect.durability.DurabilityChecker.check` pass.
 
-Structural (hoisted) fixes get their own synthesis tier: the recorder
-keeps per-callee sub-trace spans
-(:class:`~repro.revalidate.recording.CalleeSpan`), and a committed call
-retarget with a complete clone witness
-(:class:`~repro.revalidate.witness.StructuralSpec`) is revalidated by
-*rewriting* the retargeted call site's recorded spans — re-mapped iids
-and stacks, spliced covering flushes and the trailing sfence, cache
-effects re-simulated — again with no execution at all (see
-:func:`~repro.revalidate.synthesize.synthesize_structural_trace`).
+Three tiers, cheapest first:
 
-Fallback rules (all full re-records, counted in
-``revalidate.fallbacks``):
+- **baseline** — the module fingerprint is unchanged, or every anchor
+  sits in code the recording never executed: the recorded detection
+  is returned as-is (``revalidate.noop_hits``);
+- **synthesized** — a complete witness: trace synthesis plus one
+  checker pass (``revalidate.synth_hits``, structural ones also
+  ``revalidate.synth_structural_hits``);
+- **full** — a full re-record (counted in ``revalidate.fallbacks``)
+  when:
 
-- a structural fix committed without a usable witness (an indescribable
-  clone, an incomplete span record, a span overlap the rewriter cannot
-  order, or plain ``structural=True`` with no specs at all);
-- an anchor iid (or a retargeted call site) is not in the recorded
-  module (the fix anchors at an instruction inserted *after*
-  recording, e.g. a round-2 fix anchored on a round-1 flush);
-- the module changed but no anchors were witnessed;
-- the driver diverges during replay, or replay raises at all.
-
-If the module fingerprint is unchanged — or every anchor sits in dead
-code the recording never executed — the baseline detection is returned
-as-is (``revalidate.noop_hits``).
+  - a fix committed anchors without insertion specs;
+  - a structural fix committed without a usable witness (an
+    indescribable clone, an incomplete span record, a span overlap the
+    rewriter cannot order, or plain ``structural=True`` with no specs
+    at all);
+  - an anchor iid (or a retargeted call site) is not in the recorded
+    module (the fix anchors at an instruction inserted *after*
+    recording, e.g. a round-2 fix anchored on a round-1 flush);
+  - the module changed but no anchors were witnessed;
+  - synthesis raises at all.
 """
 
 from __future__ import annotations
@@ -62,7 +54,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Set, Tuple
 
 from ..detect import Driver
-from ..detect.durability import ChainIndex, DurabilityChecker
+from ..detect.durability import DurabilityChecker
 from ..detect.reports import DetectionResult
 from ..interp import ENGINES, get_default_engine, make_interpreter
 from ..interp.costs import CostModel
@@ -71,7 +63,6 @@ from ..ir.module import Module
 from ..memory.pool import MachinePool
 from ..trace.trace import PMTrace
 from .recording import RecordedRun, RecordingTraceRecorder, RunRecorder
-from .replay import ReplayDivergence, replay_class
 from .synthesize import (
     SynthesisResult,
     synthesize_fixed_trace,
@@ -90,20 +81,16 @@ class RevalidationOutcome:
     - ``"baseline"`` — module unchanged (or only dead code changed);
       the recorded detection was returned without any execution.
     - ``"synthesized"`` — the post-fix trace was synthesized from the
-      baseline trace and the mutation witness (no execution at all);
-      only the suffix from the last memoized checker fork re-checked.
-    - ``"incremental"`` — replayed from a snapshot, suffix re-checked.
+      baseline trace and the mutation witness (no execution at all),
+      then checked in one pass.
     - ``"full"`` — fell back to (or started with) a full re-record.
     """
 
     mode: str
     detection: DetectionResult
     trace: PMTrace
-    #: segment index replay started from (incremental mode)
-    replayed_from: Optional[int] = None
     segments_total: int = 0
-    segments_replayed: int = 0
-    #: chain (cache line) addresses the incremental pass re-checked
+    #: chain (cache line) addresses the synthesized mutations touched
     rechecked_chains: Set[int] = field(default_factory=set)
     #: why a fallback was taken (diagnostics)
     fallback_reason: str = ""
@@ -116,9 +103,7 @@ class RevalidationOutcome:
         """Volatile summary (never part of canonical records)."""
         return {
             "mode": self.mode,
-            "replayed_from": self.replayed_from,
             "segments_total": self.segments_total,
-            "segments_replayed": self.segments_replayed,
             "chains_rechecked": self.chains_rechecked,
             "fallback_reason": self.fallback_reason,
         }
@@ -130,20 +115,18 @@ class IncrementalRevalidator:
     :param driver: the workload driver (same contract as
         :func:`~repro.detect.pmemcheck_run`).
     :param cost_model:, :param fuel: interpreter configuration, applied
-        identically to recording, replay, and fallback runs.
-    :param max_snapshots: snapshot memory bound (see
-        :class:`~repro.revalidate.recording.RunRecorder`).
+        identically to recording and fallback runs.
     :param metrics: optional
         :class:`~repro.obs.metrics.MetricsRegistry`; receives the
         ``revalidate.*`` counters and the interpreters' totals.
     :param engine: execution engine kind, applied identically to
-        recording, replay, and fallback runs (default: the process-wide
-        default engine).  Both engines yield byte-identical recordings.
+        recording and fallback runs (default: the process-wide default
+        engine).  Both engines yield byte-identical recordings.
     :param pool: optional :class:`~repro.memory.pool.MachinePool`;
-        recording, replay, and fallback machines then reuse pooled
-        buffers instead of reallocating (replay and fallback machines
-        are retired back into the pool; the machine :meth:`record`
-        returns to its caller is the caller's to release).
+        recording and fallback machines then reuse pooled buffers
+        instead of reallocating (fallback machines are retired back
+        into the pool; the machine :meth:`record` returns to its caller
+        is the caller's to release).
     """
 
     def __init__(
@@ -152,7 +135,6 @@ class IncrementalRevalidator:
         *,
         cost_model: Optional[CostModel] = None,
         fuel: int = 50_000_000,
-        max_snapshots: int = 32,
         metrics=None,
         engine: Optional[str] = None,
         pool: Optional[MachinePool] = None,
@@ -160,7 +142,6 @@ class IncrementalRevalidator:
         self.driver = driver
         self.cost_model = cost_model
         self.fuel = fuel
-        self.max_snapshots = max_snapshots
         self.metrics = metrics
         self.engine = engine or get_default_engine()
         if self.engine not in ENGINES:
@@ -174,8 +155,8 @@ class IncrementalRevalidator:
         self._pending_anchors: Set[int] = set()
         self._pending_structural = False
         #: insertion specs for every committed fix, in commit order;
-        #: None once any commit lacked one (synthesis then ineligible,
-        #: snapshot replay still available)
+        #: None once any commit lacked one (synthesis then ineligible —
+        #: full re-record)
         self._pending_specs: Optional[list] = []
         #: structural witnesses for every committed hoisted fix, in
         #: commit order; None once any structural commit lacked one
@@ -217,7 +198,7 @@ class IncrementalRevalidator:
             # Re-recording *is* the full-revalidation fallback path.
             self._count("revalidate.fallbacks")
         self._count("revalidate.records")
-        recorder = RunRecorder(max_snapshots=self.max_snapshots)
+        recorder = RunRecorder()
         # A recording machine keeps the volatile-op side channel (for
         # trace synthesis); its trace stays byte-identical to a plain
         # machine's.
@@ -239,26 +220,7 @@ class IncrementalRevalidator:
         self.driver(interp)
         trace = interp.finish()
 
-        # One checker pass over the full trace, forking the state at
-        # every snapshot-bearing segment boundary and collecting the
-        # chain dependency index.
-        chain_index = ChainIndex()
-        checker = DurabilityChecker(collector=chain_index)
-        state = checker.new_state()
-        forks = {}
-        position = 0
-        events = trace.events
-        for segment in recorder.segments:
-            if segment.snapshot is None:
-                continue
-            while position < segment.trace_start:
-                checker.feed(state, events[position])
-                position += 1
-            forks[segment.index] = state.fork()
-        while position < len(events):
-            checker.feed(state, events[position])
-            position += 1
-        detection = checker.finalize(state)
+        detection = DurabilityChecker().check(trace)
 
         self.baseline = RecordedRun(
             module_fingerprint=module.fingerprint(),
@@ -268,9 +230,6 @@ class IncrementalRevalidator:
             segments=recorder.segments,
             trace=trace,
             detection=detection,
-            chain_index=chain_index,
-            forks=forks,
-            fuel=self.fuel,
             vol_ops=tuple(trace_recorder.vol_ops),
             spans=tuple(recorder.spans),
             spans_ok=recorder.spans_ok,
@@ -279,14 +238,6 @@ class IncrementalRevalidator:
         self._pending_structural = False
         self._pending_specs = []
         self._pending_struct_specs = []
-        if self.metrics is not None:
-            self.metrics.gauge("revalidate.snapshot_bytes").set(
-                sum(
-                    segment.snapshot.byte_size
-                    for segment in recorder.segments
-                    if segment.snapshot is not None
-                )
-            )
         return detection, trace, interp
 
     def rebuild_baseline(self, module: Module) -> RecordedRun:
@@ -311,7 +262,7 @@ class IncrementalRevalidator:
 
         ``insertions`` carries the full mutation witness (what was
         inserted after each anchor); without it the synthesis tier is
-        unavailable and revalidation uses snapshot replay instead.
+        unavailable and the next revalidation is a full re-record.
         ``structural_specs`` carries the witnesses of a structural
         commit's call retargets; a structural commit without them (None
         *or* empty — some structural mutation went undescribed) makes
@@ -377,31 +328,32 @@ class IncrementalRevalidator:
             outcome = self._full(
                 module, "fix anchored at an instruction inserted after recording"
             )
+        elif not base.executes_any(self._pending_anchors):
+            # Every anchor sits in code the recording never executed,
+            # so the inserted instructions never execute either: the
+            # trace — and the verdict — are unchanged.
+            self._count("revalidate.noop_hits")
+            outcome = RevalidationOutcome(
+                mode="baseline",
+                detection=base.detection,
+                trace=base.trace,
+                segments_total=len(base.segments),
+            )
+        elif self._pending_specs is None:
+            outcome = self._full(
+                module, "fix committed without insertion specs"
+            )
         else:
-            first = base.first_affected_segment(self._pending_anchors)
-            if first is None:
-                # Every anchor sits in code the recording never
-                # executed, so the inserted instructions never execute
-                # either: the trace — and the verdict — are unchanged.
-                self._count("revalidate.noop_hits")
-                outcome = RevalidationOutcome(
-                    mode="baseline",
-                    detection=base.detection,
-                    trace=base.trace,
-                    segments_total=len(base.segments),
+            try:
+                synthesis = synthesize_fixed_trace(
+                    base.trace, base.vol_ops, self._pending_specs
                 )
-            else:
-                try:
-                    if self._pending_specs is not None:
-                        outcome = self._synthesize(module, base)
-                    else:
-                        outcome = self._incremental(module, base, first)
-                except Exception as exc:
-                    outcome = self._full(
-                        module,
-                        f"incremental revalidation failed: "
-                        f"{type(exc).__name__}: {exc}",
-                    )
+                outcome = self._check_synthesis(base, synthesis)
+            except Exception as exc:
+                outcome = self._full(
+                    module,
+                    f"trace synthesis failed: {type(exc).__name__}: {exc}",
+                )
         self.last_outcome = outcome
         return outcome
 
@@ -416,29 +368,11 @@ class IncrementalRevalidator:
             fallback_reason=reason,
         )
 
-    def _recheck_synthesis(
+    def _check_synthesis(
         self, base: RecordedRun, synthesis: SynthesisResult
     ) -> RevalidationOutcome:
-        """Re-check a synthesized trace from the last memoized checker
-        fork at or before its first changed position (every earlier
-        event is the identical baseline object the fork already
-        consumed)."""
-        trace = synthesis.trace
-        start = base.segments[0]
-        for segment in base.segments:
-            if (
-                segment.index in base.forks
-                and segment.trace_start <= synthesis.changed_from
-            ):
-                start = segment
-        state = base.forks[start.index].fork()
-        rechecked = ChainIndex()
-        checker = DurabilityChecker(collector=rechecked)
-        for event in trace.events[start.trace_start :]:
-            checker.feed(state, event)
-        detection = checker.finalize(state)
-
-        self._count("revalidate.incremental_hits")
+        """Check a synthesized trace in one plain checker pass."""
+        detection = DurabilityChecker().check(synthesis.trace)
         self._count("revalidate.synth_hits")
         self._count(
             "revalidate.chains_rechecked", len(synthesis.affected_lines)
@@ -446,29 +380,10 @@ class IncrementalRevalidator:
         return RevalidationOutcome(
             mode="synthesized",
             detection=detection,
-            trace=trace,
-            replayed_from=start.index,
+            trace=synthesis.trace,
             segments_total=len(base.segments),
-            segments_replayed=0,
             rechecked_chains=synthesis.affected_lines,
         )
-
-    def _synthesize(
-        self, module: Module, base: RecordedRun
-    ) -> RevalidationOutcome:
-        """The fast tier: no execution at all.
-
-        The mutation witness is complete (every committed fix described
-        its inserted flush/gep/fence run), so the post-fix trace is
-        synthesized directly from the baseline trace and the volatile-op
-        side channel, and the checker resumes from the last memoized
-        fork before the first changed event.
-        """
-        assert self._pending_specs is not None
-        synthesis = synthesize_fixed_trace(
-            base.trace, base.vol_ops, self._pending_specs
-        )
-        return self._recheck_synthesis(base, synthesis)
 
     def _structural(
         self, module: Module, base: RecordedRun
@@ -510,7 +425,7 @@ class IncrementalRevalidator:
                 struct_specs,
                 self._pending_specs,
             )
-            outcome = self._recheck_synthesis(base, synthesis)
+            outcome = self._check_synthesis(base, synthesis)
         except Exception as exc:
             return self._full(
                 module,
@@ -518,56 +433,3 @@ class IncrementalRevalidator:
             )
         self._count("revalidate.synth_structural_hits")
         return outcome
-
-    def _incremental(
-        self, module: Module, base: RecordedRun, first_affected: int
-    ) -> RevalidationOutcome:
-        start = base.replay_base(first_affected)
-        snapshot = start.snapshot
-        assert snapshot is not None
-        machine = snapshot.materialize(self.pool)
-        try:
-            replay = replay_class(self.engine)(
-                module,
-                machine,
-                snapshot,
-                skip=base.segments[: start.index],
-                cost_model=self.cost_model,
-                fuel=base.fuel,
-                metrics=self.metrics,
-            )
-            self.driver(replay)
-            suffix = replay.finish()
-        finally:
-            self._release_machine(machine)
-        if replay.skipped_remaining:
-            raise ReplayDivergence(
-                f"driver made fewer calls than recorded "
-                f"({replay.skipped_remaining} skip(s) unconsumed)"
-            )
-
-        combined = PMTrace(
-            list(base.trace.events[: start.trace_start]) + list(suffix.events)
-        )
-        rechecked = ChainIndex()
-        checker = DurabilityChecker(collector=rechecked)
-        state = base.forks[start.index].fork()
-        for event in suffix.events:
-            checker.feed(state, event)
-        detection = checker.finalize(state)
-
-        chains = rechecked.chains()
-        self._count("revalidate.incremental_hits")
-        self._count("revalidate.chains_rechecked", len(chains))
-        self._count(
-            "revalidate.segments_replayed", len(base.segments) - start.index
-        )
-        return RevalidationOutcome(
-            mode="incremental",
-            detection=detection,
-            trace=combined,
-            replayed_from=start.index,
-            segments_total=len(base.segments),
-            segments_replayed=len(base.segments) - start.index,
-            rechecked_chains=chains,
-        )

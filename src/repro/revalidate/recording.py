@@ -2,37 +2,27 @@
 
 The interpreter notifies a :class:`RunRecorder` at every *top-level*
 driver call (``interp.call(...)`` with an empty frame stack).  Each call
-becomes a :class:`CallRecord` — a segment of the run — carrying:
+becomes a :class:`CallRecord` — a segment of the run — carrying the set
+of instruction iids executed during the call.  That set is the
+dependency index: a committed fix whose anchor iids (known from the
+``FixTransaction`` witness) no segment executed sits in dead code, so
+the baseline verdict stands unchanged.
 
-- the call spec (function name + arguments) and its recorded
-  :class:`~repro.interp.interpreter.ExecutionResult`, so replay can
-  skip the call and hand the driver the original result;
-- the trace offset and recorder sequence value at call entry, so a
-  replayed suffix splices seamlessly onto the baseline trace prefix;
-- the set of instruction iids executed during the call — the
-  *dependency index* entry that decides whether a committed fix (whose
-  anchor iid is known from the ``FixTransaction`` witness) can affect
-  the segment;
-- optionally a :class:`~repro.revalidate.snapshot.MachineSnapshot`
-  taken at call entry.
-
-Snapshot thinning bounds memory: when more than ``max_snapshots``
-segments hold one, the stride doubles and off-stride snapshots are
-dropped (segment 0 always keeps its snapshot, so a full-prefix replay
-is always possible).  Per-segment metadata is never dropped.
+Alongside the segments the recorder keeps the channels trace synthesis
+reads: per-callee spans (:class:`CalleeSpan`) for structural fixes and,
+through :class:`RecordingTraceRecorder`, the volatile-op side channel
+(:class:`VolAnchorOp`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
-from ..detect.durability import ChainIndex, CheckerState
 from ..detect.reports import DetectionResult
-from ..interp.interpreter import ExecutionResult, Interpreter
+from ..interp.interpreter import Interpreter
 from ..trace.events import CallStack, StoreEvent
 from ..trace.trace import PMTrace, TraceRecorder
-from .snapshot import MachineSnapshot
 
 
 @dataclass(frozen=True)
@@ -121,35 +111,21 @@ class CallRecord:
     """One top-level driver call of the recording run."""
 
     index: int
-    fn_name: str
-    args: List[int]
-    #: ``len(trace.events)`` at call entry
-    trace_start: int
-    #: the trace recorder's sequence counter at call entry
-    seq_start: int
-    #: interpreter steps consumed before this call
-    steps_start: int
     #: iids of every instruction executed during this call
     iids: Set[int] = field(default_factory=set)
-    snapshot: Optional[MachineSnapshot] = None
-    result: Optional[ExecutionResult] = None
 
 
 class RunRecorder:
-    """Collects segments (and thinned snapshots) during a recorded run.
+    """Collects segments and callee spans during a recorded run.
 
     Attach via ``Interpreter(..., run_recorder=recorder)``; the
     interpreter calls :meth:`begin_call`/:meth:`end_call` around each
-    top-level call.
+    top-level call and :meth:`enter_callee`/:meth:`exit_callee` around
+    each module-callee frame.
     """
 
-    def __init__(self, max_snapshots: int = 32):
-        if max_snapshots < 1:
-            raise ValueError("max_snapshots must be >= 1")
-        self.max_snapshots = max_snapshots
+    def __init__(self) -> None:
         self.segments: List[CallRecord] = []
-        self._stride = 1
-        self._snapshot_count = 0
         #: completed callee spans, in execution (return) order
         self.spans: List[CalleeSpan] = []
         self._open: List[Tuple[int, int, int, int]] = []
@@ -187,56 +163,25 @@ class RunRecorder:
             self.spans_ok = False
             self._open.clear()
 
-    def begin_call(self, interp: Interpreter, fn_name: str, args: List[int]) -> None:
+    def begin_call(self, interp: Interpreter) -> None:
         self._check_balanced()
-        segment = CallRecord(
-            index=len(self.segments),
-            fn_name=fn_name,
-            args=list(args or []),
-            trace_start=len(interp.trace.events),
-            seq_start=interp.machine.recorder._seq,
-            steps_start=interp.steps,
-        )
-        if segment.index % self._stride == 0:
-            segment.snapshot = MachineSnapshot.capture(interp)
-            self._snapshot_count += 1
+        segment = CallRecord(index=len(self.segments))
         self.segments.append(segment)
-        if self._snapshot_count > self.max_snapshots:
-            self._thin()
         interp._seg_iids = segment.iids
 
-    def end_call(self, interp: Interpreter, result: ExecutionResult) -> None:
+    def end_call(self, interp: Interpreter) -> None:
         self._check_balanced()
-        self.segments[-1].result = result
         interp._seg_iids = None
-
-    def _thin(self) -> None:
-        """Double the snapshot stride until back under budget.
-
-        One doubling halves (roughly) the snapshot count, which is not
-        necessarily enough — e.g. budget 32 exceeded at 33 thins to 17,
-        but a budget lowered between runs, or accounting drift, can
-        leave a single doubling still over.  Loop until under budget;
-        termination is guaranteed because segment 0 is on-stride for
-        every stride, so the count converges to 1 <= max_snapshots.
-        """
-        while self._snapshot_count > self.max_snapshots:
-            self._stride *= 2
-            for segment in self.segments:
-                if segment.snapshot is not None and segment.index % self._stride:
-                    segment.snapshot = None
-                    self._snapshot_count -= 1
 
 
 @dataclass
 class RecordedRun:
     """A completed recording: the incremental-revalidation baseline.
 
-    Everything needed to revalidate a flush/fence-fixed module without
-    a full re-execution: the segments (with snapshots and executed-iid
-    sets), the full baseline trace, the detection result, the chain
-    dependency index, and checker-state forks memoized at each
-    snapshot-bearing segment's trace offset.
+    Everything needed to revalidate a repaired module without executing
+    it: the segments' executed-iid sets, the full baseline trace and its
+    detection result, and the synthesis channels (volatile ops, callee
+    spans).
 
     ``module_iids`` is the id set of the module *as recorded* — a fix
     anchored at an instruction outside it post-dates the recording, so
@@ -248,10 +193,6 @@ class RecordedRun:
     segments: List[CallRecord]
     trace: PMTrace
     detection: DetectionResult
-    chain_index: ChainIndex
-    #: segment index -> checker state forked at that segment's trace_start
-    forks: Dict[int, CheckerState]
-    fuel: int
     #: volatile-target anchor executions (the synthesis side channel)
     vol_ops: Tuple[VolAnchorOp, ...] = ()
     #: completed callee spans, in execution (return) order
@@ -260,23 +201,6 @@ class RecordedRun:
     #: past an open callee during recording)
     spans_ok: bool = True
 
-    def snapshot_segments(self) -> List[CallRecord]:
-        return [s for s in self.segments if s.snapshot is not None]
-
-    def first_affected_segment(self, anchor_iids: Set[int]) -> Optional[int]:
-        """Index of the earliest segment executing any anchor iid."""
-        for segment in self.segments:
-            if segment.iids & anchor_iids:
-                return segment.index
-        return None
-
-    def replay_base(self, first_affected: int) -> CallRecord:
-        """The last snapshot-bearing segment at or before ``first_affected``."""
-        base = None
-        for segment in self.segments[: first_affected + 1]:
-            if segment.snapshot is not None:
-                base = segment
-        if base is None:  # pragma: no cover - segment 0 always snapshots
-            raise ValueError("no snapshot at or before segment "
-                             f"{first_affected}")
-        return base
+    def executes_any(self, anchor_iids: Set[int]) -> bool:
+        """True when some segment executed one of ``anchor_iids``."""
+        return any(segment.iids & anchor_iids for segment in self.segments)

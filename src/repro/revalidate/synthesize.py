@@ -56,11 +56,6 @@ inside its span (single-frame when the span recorded none) — the
 detector never reads fence stacks, so detection results (and every
 canonical record derived from them) are still byte-identical to a real
 re-execution; only those stack fields are approximate.
-
-The returned ``changed_from`` index is the synthesized-stream position
-of the first inserted *or re-mapped* event: every event before it is
-the identical baseline object, which lets the engine resume the checker
-from a memoized fork instead of re-feeding the prefix.
 """
 
 from __future__ import annotations
@@ -94,13 +89,7 @@ class StructuralSynthesisError(ValueError):
 class SynthesisResult:
     """A synthesized post-fix trace plus what it disturbed."""
 
-    def __init__(
-        self,
-        trace: PMTrace,
-        affected_lines: Set[int],
-        changed_from: int,
-        inserted_events: int,
-    ):
+    def __init__(self, trace: PMTrace, affected_lines: Set[int]):
         self.trace = trace
         #: cache lines (chains) whose durability history the mutations
         #: touch: the lines inserted flushes cover, every line with
@@ -108,10 +97,6 @@ class SynthesisResult:
         #: every line a re-mapped in-span store or flush touches.  Bug
         #: verdicts outside these chains cannot change.
         self.affected_lines = affected_lines
-        #: first synthesized-stream index that differs from the
-        #: baseline (== len(trace) when nothing changed)
-        self.changed_from = changed_from
-        self.inserted_events = inserted_events
 
 
 class _Site:
@@ -180,17 +165,10 @@ def _synthesize_stream(
     events = baseline.events
     out: List[TraceEvent] = []
     affected: Set[int] = set()
-    changed_from: Optional[int] = None
-    inserted_events = 0
     #: line address -> [dirty, flushing] (mirrors CacheModel semantics;
     #: the checker only needs the booleans, never the store-seq sets)
     lines: Dict[int, List[bool]] = {}
     seq = 0
-
-    def mark_changed() -> None:
-        nonlocal changed_from
-        if changed_from is None:
-            changed_from = len(out)
 
     def sim_flush(line_addr: int, kind: str) -> bool:
         """Apply one flush to the simulation; return its had_work bit."""
@@ -239,18 +217,16 @@ def _synthesize_stream(
         inserted flushes then flush volatile lines (no event, no PM
         effect) and only the fences record.
         """
-        nonlocal seq, inserted_events
+        nonlocal seq
         for op in spec.ops:
             if isinstance(op, SynthFlush):
                 if anchor_event is None:
                     continue
-                mark_changed()
                 addr = anchor_event.addr + op.offset
                 line_addr = line_of(addr)
                 affected.add(line_addr)
                 had_work = sim_flush(line_addr, op.flush_kind)
                 seq += 1
-                inserted_events += 1
                 out.append(
                     FlushEvent(
                         seq=seq,
@@ -267,12 +243,10 @@ def _synthesize_stream(
                 )
             else:
                 assert isinstance(op, SynthFence)
-                mark_changed()
                 affected.update(pending_lines())
                 for state in lines.values():
                     state[1] = False
                 seq += 1
-                inserted_events += 1
                 if anchor_event is not None:
                     function = anchor_event.function
                     stack = anchor_event.stack[:-1] + (
@@ -310,17 +284,15 @@ def _synthesize_stream(
 
     def close_active() -> None:
         """Leave the active span: splice the call site's sfence."""
-        nonlocal active, active_site, outer_stack, seq, inserted_events
+        nonlocal active, active_site, outer_stack, seq
         site = active_site
         assert site is not None
         fence = site.fence
         if fence is not None:
-            mark_changed()
             affected.update(pending_lines())
             for state in lines.values():
                 state[1] = False
             seq += 1
-            inserted_events += 1
             stack = (outer_stack or ()) + (
                 StackFrame(site.caller_function, fence.iid, fence.loc),
             )
@@ -382,7 +354,6 @@ def _synthesize_stream(
             if outer_stack is None and len(event.stack) >= active.depth:
                 outer_stack = event.stack[: active.depth - 1]
             rewritten = _rewrite_event(event, active_site, active.depth)
-            mark_changed()
             if isinstance(event, StoreEvent):
                 if event.space == "pm":
                     affected.update(lines_covering(event.addr, event.size))
@@ -402,12 +373,7 @@ def _synthesize_stream(
                 emit_synth(spec, emitted)
     drain(len(events))
 
-    return SynthesisResult(
-        trace=PMTrace(out),
-        affected_lines=affected,
-        changed_from=changed_from if changed_from is not None else len(out),
-        inserted_events=inserted_events,
-    )
+    return SynthesisResult(trace=PMTrace(out), affected_lines=affected)
 
 
 def synthesize_fixed_trace(

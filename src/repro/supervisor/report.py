@@ -69,6 +69,8 @@ class BatchReport:
     #: aggregated analysis-manager counters across executed tasks
     #: (volatile — replayed tasks ran no analyses and contribute none)
     analysis_stats: Dict[str, int] = field(default_factory=dict)
+    #: worker stdout lines that parsed as no protocol record (volatile)
+    protocol_malformed: int = 0
 
     def add_analysis_stats(self, stats: Optional[Dict[str, int]]) -> None:
         """Fold one task's analysis counters into the volatile total."""
@@ -164,6 +166,8 @@ class BatchReport:
         disk_misses = self.analysis_stats.get("disk_misses", 0)
         if disk_hits or disk_misses:
             text += f"; analysis cache: {disk_hits} hit(s), {disk_misses} miss(es)"
+        if self.protocol_malformed:
+            text += f"; {self.protocol_malformed} malformed worker line(s)"
         if self.interrupted:
             text += f"; INTERRUPTED with {len(self.pending)} task(s) pending"
         return text

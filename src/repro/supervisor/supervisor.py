@@ -142,6 +142,8 @@ class _WorkerHandle:
         self.metrics_record: Optional[Dict[str, Any]] = None  # METRICS snapshot
         self.fail_info: Optional[Dict[str, Any]] = None
         self.silent_death = False
+        #: worker stdout lines that parsed as no protocol record
+        self.protocol_malformed = 0
 
     def finished(self) -> bool:
         raise NotImplementedError
@@ -192,7 +194,7 @@ class _SubprocessWorker(_WorkerHandle):
         for line in self.proc.stdout:
             line = line.rstrip("\n")
             with self._lock:
-                if line.startswith("HB "):
+                if line.startswith("HB ") and line[3:].isdigit():
                     self.last_heartbeat = time.monotonic()
                     self._obs.event(
                         "supervisor.heartbeat",
@@ -203,16 +205,17 @@ class _SubprocessWorker(_WorkerHandle):
                     try:
                         self._ingest_metrics(json.loads(line[len("METRICS "):]))
                     except ValueError:
-                        pass  # observability only; never fails the task
+                        self._malformed()  # observability only; never fails the task
                 elif line.startswith("OBS "):
                     try:
                         self._forward_obs(json.loads(line[len("OBS "):]))
                     except ValueError:
-                        pass  # observability only; never fails the task
+                        self._malformed()  # observability only; never fails the task
                 elif line.startswith("RESULT "):
                     try:
                         self.result_record = json.loads(line[len("RESULT "):])
                     except ValueError:
+                        self._malformed()
                         self.fail_info = {
                             "error_type": "ProtocolError",
                             "error": "unparseable RESULT line",
@@ -221,11 +224,19 @@ class _SubprocessWorker(_WorkerHandle):
                     try:
                         self.fail_info = json.loads(line[len("FAIL "):])
                     except ValueError:
+                        self._malformed()
                         self.fail_info = {
                             "error_type": "ProtocolError",
                             "error": "unparseable FAIL line",
                         }
+                else:
+                    self._malformed()
         self.proc.stdout.close()
+
+    def _malformed(self) -> None:
+        """Count a line that carries no well-formed protocol record."""
+        self.protocol_malformed += 1
+        self._obs.count("supervisor.protocol_malformed")
 
     def _ingest_metrics(self, snapshot: Any) -> None:
         """Keep the worker's METRICS snapshot and derive from it the
@@ -768,6 +779,7 @@ class BatchSupervisor:
             stats=worker.stats_record,
         )
         report.add_analysis_stats(worker.stats_record)
+        report.protocol_malformed += worker.protocol_malformed
         self._notify("done", worker.task.task_id)
 
     def _record_failure(
@@ -780,6 +792,7 @@ class BatchSupervisor:
         requeue: bool = True,
     ) -> None:
         config = self.config
+        report.protocol_malformed += worker.protocol_malformed
         info = worker.fail_info or {"error_type": "Unknown", "error": "no verdict"}
         error = f"{info.get('error_type', 'Error')}: {info.get('error', '')}"
         task_id = worker.task.task_id

@@ -89,7 +89,7 @@ def run_case(
     ``incremental_revalidate=False`` (the
     ``--no-incremental-revalidate`` escape hatch) re-runs everything
     from scratch.  ``engine_kind`` picks the execution engine for every
-    run this case makes (detection, replay, revalidation); results are
+    run this case makes (detection, revalidation, re-runs); results are
     byte-identical across engines.  ``machine_pool`` controls machine
     buffer reuse across this case's runs: True (the default) builds a
     private :class:`~repro.memory.pool.MachinePool`, a pool instance is
@@ -203,7 +203,7 @@ class RepairTask:
         from the journaled record — a resumed batch may finish under a
         different engine than it started with.
     :param machine_pool: reuse pooled machine buffers across the task's
-        runs (detect, replay, re-record).  Pure construction-cost
+        runs (detect, re-record, re-run).  Pure construction-cost
         optimisation — pooled and fresh machines start byte-identical
         (the differential suite enforces it) — so, like the engine
         flag, it is excluded from the journaled record.

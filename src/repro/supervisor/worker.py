@@ -21,6 +21,12 @@ Protocol (line-oriented, over stdio):
   - ``RESULT <json>`` — the deterministic task result record, or
   - ``FAIL <json>`` — ``{"error_type", "error", "traceback"}``.
 
+Every protocol line goes out through :func:`_emit`: one locked
+``write`` of the whole line plus its newline, then a flush.  ``print``
+writes the text and the newline separately, so the heartbeat thread
+could land ``HB n`` between a main-thread record and its newline and
+glue two records onto one line.
+
 Exit codes: 0 after ``RESULT``, 3 after ``FAIL``, 2 on a protocol
 error (bad spec).  The supervisor trusts the *lines*, not the exit
 code — a worker that dies after ``RESULT`` already delivered its work.
@@ -44,6 +50,15 @@ import threading
 import time
 import traceback
 
+_EMIT_LOCK = threading.Lock()
+
+
+def _emit(line: str) -> None:
+    """Write one protocol line atomically with respect to other threads."""
+    with _EMIT_LOCK:
+        sys.stdout.write(line + "\n")
+        sys.stdout.flush()
+
 
 class _StdoutSink:
     """Forward span/event records to the supervisor as ``OBS`` lines.
@@ -60,7 +75,7 @@ class _StdoutSink:
     def emit(self, record: dict) -> None:
         try:
             line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-            print(f"OBS {line}", flush=True)
+            _emit(f"OBS {line}")
             self.emitted += 1
         except (OSError, ValueError, TypeError):
             self.dropped += 1
@@ -71,7 +86,7 @@ def _start_heartbeats(interval: float) -> None:
         n = 0
         while True:
             n += 1
-            print(f"HB {n}", flush=True)
+            _emit(f"HB {n}")
             time.sleep(interval)
 
     thread = threading.Thread(target=beat, name="heartbeat", daemon=True)
@@ -96,8 +111,7 @@ def main() -> int:
         spec = json.loads(sys.stdin.read())
         task = RepairTask.from_spec(spec)
     except Exception as exc:
-        print(f"FAIL {json.dumps({'error_type': type(exc).__name__, 'error': str(exc), 'traceback': ''})}",
-              flush=True)
+        _emit(f"FAIL {json.dumps({'error_type': type(exc).__name__, 'error': str(exc), 'traceback': ''})}")
         return 2
     _start_heartbeats(interval)
     _inject_fault()
@@ -115,11 +129,10 @@ def main() -> int:
             "error": str(exc),
             "traceback": traceback.format_exc(),
         }
-        print(f"FAIL {json.dumps(payload)}", flush=True)
+        _emit(f"FAIL {json.dumps(payload)}")
         return 3
-    print(f"METRICS {json.dumps(obs.metrics_snapshot(), sort_keys=True)}",
-          flush=True)
-    print(f"RESULT {json.dumps(result.record, sort_keys=True)}", flush=True)
+    _emit(f"METRICS {json.dumps(obs.metrics_snapshot(), sort_keys=True)}")
+    _emit(f"RESULT {json.dumps(result.record, sort_keys=True)}")
     return 0
 
 
