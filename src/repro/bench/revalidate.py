@@ -17,9 +17,9 @@ Exit status (the CI gate): 0 when
 - the aggregate revalidate-phase speedup across the flush/fence-only
   cases is at least ``GATE_SPEEDUP`` (the acceptance criterion's 3x
   minus 10% measurement tolerance — a regression of the incremental
-  path beyond that fails the build).  The structural cases' own
-  speedup and the machine-pool gains are gated separately by
-  ``repro.bench.revalidate_structural`` (``BENCH_pool.json``).
+  path beyond that fails the build).  The structural cases are gated
+  separately by ``repro.bench.revalidate_structural``
+  (``BENCH_structural.json``).
 
 Detect-phase timings are recorded but not gated: recording a baseline
 costs about the same as a plain detection run by design, and CI

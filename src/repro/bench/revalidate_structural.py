@@ -1,26 +1,14 @@
-"""Bench-smoke for structural-fix synthesis and pooled machine reuse.
+"""Bench-smoke for structural-fix synthesis.
 
-Two coupled construction-cost levers, one result document
-(``BENCH_pool.json``):
-
-1. **Structural synthesis.**  Every corpus case needing a clone +
-   retarget (``HoistedFix``) repair must revalidate on the synthesis
-   tier — the recorded callee span is rewritten in place instead of
-   re-executing the workload.  The revalidate-phase wall time is
-   compared against the full re-run escape hatch, per case and in
-   aggregate.
-2. **Machine pooling.**  On the construction-bound corpus cases (a few
-   thousand interpreted steps against three 16 MiB regions plus a
-   16 MiB durable image per run), reusing pooled buffers must cut the
-   whole-case wall time by at least ``GATE_POOL_SPEEDUP`` per case.
-   The two workload-heavy cases (P-CLHT, memcached-pm) are measured
-   but not gated: their interpretation time dominates construction, so
-   the pool's effect there is within noise by design.
+Every corpus case needing a clone + retarget (``HoistedFix``) repair
+must revalidate on the synthesis tier — the recorded callee span is
+rewritten in place instead of re-executing the workload.  The
+revalidate-phase wall time is compared against the full re-run escape
+hatch, per case and in aggregate, and written to
+``BENCH_structural.json``.
 
 Exit status (the CI gate): 0 when every structural case took the
-synthesis tier and every construction-bound case cleared the per-case
-pool speedup gate.  Timings use the best of ``REPEATS`` runs per
-configuration to shave scheduler noise.
+synthesis tier.
 """
 
 from __future__ import annotations
@@ -28,100 +16,52 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Dict, List, Optional
 
 from ..corpus.bugs import all_cases
 from ..fsutil import atomic_write_text
-from ..memory.pool import MachinePool
 from ..obs.observability import Observability
 from ..supervisor.tasks import run_case
 from .revalidate import SYNTH_CASES, _phase_seconds
 
-#: Required per-case whole-pipeline speedup from pooled machine reuse
-#: on the construction-bound cases (measured 2.2x-8.2x locally; 1.5x
-#: leaves generous headroom for CI noise).
-GATE_POOL_SPEEDUP = 1.5
-
-#: Cases whose wall time is dominated by interpretation, not machine
-#: construction — measured, but exempt from the pool gate.
-WORKLOAD_BOUND = ("P-CLHT", "memcached-pm")
-
-#: Timed repetitions per configuration; the best run is kept.
-REPEATS = 2
-
-
-def _best_wall(case, repeats: int, **kwargs) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        run_case(case, **kwargs)
-        best = min(best, time.perf_counter() - start)
-    return best
-
 
 def run_bench() -> Dict:
-    """Run the corpus through both levers; returns the result document."""
-    result: Dict = {"schema": "repro-bench-pool-v1", "failures": []}
+    """Run the structural corpus cases; returns the result document."""
+    result: Dict = {"schema": "repro-bench-structural-v1", "failures": []}
     structural: Dict[str, Dict] = {}
-    pool_cases: Dict[str, Dict] = {}
 
     synth_total = 0.0
     full_total = 0.0
     for case in all_cases():
-        # -- lever 1: structural synthesis (revalidate phase) -------------
-        if case.case_id not in SYNTH_CASES:
-            obs_inc = Observability()
-            outcome = run_case(case, obs=obs_inc, incremental_revalidate=True)
-            obs_full = Observability()
-            run_case(case, obs=obs_full, incremental_revalidate=False)
-            mode = (outcome.revalidation or {}).get("mode", "?")
-            inc_seconds = _phase_seconds(obs_inc, "revalidate")
-            full_seconds = _phase_seconds(obs_full, "revalidate")
-            structural[case.case_id] = {
-                "mode": mode,
-                "revalidate_seconds": {
-                    "synthesized": round(inc_seconds, 6),
-                    "full": round(full_seconds, 6),
-                },
-            }
-            if mode != "synthesized":
-                result["failures"].append(
-                    f"{case.case_id}: structural repair should take the "
-                    f"synthesis tier, got mode {mode!r}"
-                )
-            synth_total += inc_seconds
-            full_total += full_seconds
-
-        # -- lever 2: pooled machine construction (whole case) ------------
-        unpooled = _best_wall(case, REPEATS, machine_pool=False)
-        pool = MachinePool()
-        run_case(case, machine_pool=pool)  # cold run fills the pool
-        pooled = _best_wall(case, REPEATS, machine_pool=pool)
-        speedup = unpooled / max(pooled, 1e-9)
-        gated = case.case_id not in WORKLOAD_BOUND
-        pool_cases[case.case_id] = {
-            "unpooled_seconds": round(unpooled, 6),
-            "pooled_seconds": round(pooled, 6),
-            "speedup": round(speedup, 3),
-            "gated": gated,
+        if case.case_id in SYNTH_CASES:
+            continue
+        obs_inc = Observability()
+        outcome = run_case(case, obs=obs_inc, incremental_revalidate=True)
+        obs_full = Observability()
+        run_case(case, obs=obs_full, incremental_revalidate=False)
+        mode = (outcome.revalidation or {}).get("mode", "?")
+        inc_seconds = _phase_seconds(obs_inc, "revalidate")
+        full_seconds = _phase_seconds(obs_full, "revalidate")
+        structural[case.case_id] = {
+            "mode": mode,
+            "revalidate_seconds": {
+                "synthesized": round(inc_seconds, 6),
+                "full": round(full_seconds, 6),
+            },
         }
-        if gated and speedup < GATE_POOL_SPEEDUP:
+        if mode != "synthesized":
             result["failures"].append(
-                f"{case.case_id}: pooled speedup {speedup:.2f}x is below "
-                f"the {GATE_POOL_SPEEDUP}x gate"
+                f"{case.case_id}: structural repair should take the "
+                f"synthesis tier, got mode {mode!r}"
             )
+        synth_total += inc_seconds
+        full_total += full_seconds
 
     result["structural_revalidate"] = {
         "cases": structural,
         "full_seconds": round(full_total, 6),
         "synthesized_seconds": round(synth_total, 6),
         "speedup": round(full_total / max(synth_total, 1e-9), 3),
-    }
-    result["pool"] = {
-        "cases": pool_cases,
-        "gate": GATE_POOL_SPEEDUP,
-        "workload_bound": list(WORKLOAD_BOUND),
     }
     result["ok"] = not result["failures"]
     return result
@@ -134,20 +74,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--out",
-        default="BENCH_pool.json",
+        default="BENCH_structural.json",
         help="where to write the result document",
     )
     args = parser.parse_args(argv)
     result = run_bench()
     atomic_write_text(args.out, json.dumps(result, indent=2, sort_keys=True) + "\n")
     struct = result["structural_revalidate"]
-    gated = [c for c in result["pool"]["cases"].values() if c["gated"]]
     print(
         f"structural bench: revalidation {struct['full_seconds']}s full vs "
         f"{struct['synthesized_seconds']}s synthesized "
-        f"({struct['speedup']}x); pool: min per-case speedup "
-        f"{min(c['speedup'] for c in gated)}x over {len(gated)} gated "
-        f"case(s) (gate {GATE_POOL_SPEEDUP}x)"
+        f"({struct['speedup']}x) over {len(struct['cases'])} structural case(s)"
     )
     for failure in result["failures"]:
         print(f"FAILURE: {failure}", file=sys.stderr)

@@ -203,7 +203,6 @@ def cmd_batch(ns: argparse.Namespace) -> int:
                 analysis_cache_dir=cache_dir,
                 incremental_revalidate=not ns.no_incremental_revalidate,
                 engine=ns.engine,
-                machine_pool=not ns.no_machine_pool,
             )
         )
     for spec in ns.task or []:
@@ -461,13 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
         "workload instead of the incremental engine; results are "
         "byte-identical either way (escape hatch / differential "
         "testing)",
-    )
-    batch.add_argument(
-        "--no-machine-pool",
-        action="store_true",
-        help="allocate fresh machine buffers for every run instead of "
-        "reusing a per-task pool; results are byte-identical either "
-        "way (escape hatch / differential testing)",
     )
     batch.add_argument(
         "--metrics-out",

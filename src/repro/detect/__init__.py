@@ -16,9 +16,8 @@ from typing import Callable, Optional, Tuple
 
 from ..interp import make_interpreter
 from ..interp.costs import CostModel
-from ..interp.interpreter import Interpreter, Machine
+from ..interp.interpreter import Interpreter
 from ..ir.module import Module
-from ..memory.pool import MachinePool
 from ..trace.trace import PMTrace
 from .durability import DurabilityChecker, check_trace, check_trace_pmtest
 from .pmtest import assertion_labels, check_assertions
@@ -36,7 +35,6 @@ def pmemcheck_run(
     fuel: int = 50_000_000,
     metrics=None,
     engine: Optional[str] = None,
-    pool: Optional[MachinePool] = None,
 ) -> Tuple[DetectionResult, PMTrace, Interpreter]:
     """Execute ``driver`` against ``module`` under pmemcheck-style tracing.
 
@@ -46,19 +44,11 @@ def pmemcheck_run(
     :class:`~repro.obs.metrics.MetricsRegistry`) receives the
     interpreter's step/flush/fence/store totals.  ``engine`` picks the
     execution engine (default: the process-wide default, normally
-    ``"flat"``); both engines produce byte-identical traces.  ``pool``
-    (an optional :class:`~repro.memory.pool.MachinePool`) reuses pooled
-    machine buffers for the run; the caller releases the returned
-    interpreter's machine back into the pool when done with it.
+    ``"flat"``); both engines produce byte-identical traces.
     """
-    machine = None
-    if pool is not None:
-        space, image = pool.acquire()
-        machine = Machine(space=space, image=image)
     interp = make_interpreter(
         module,
         engine=engine,
-        machine=machine,
         cost_model=cost_model,
         fuel=fuel,
         metrics=metrics,

@@ -85,18 +85,9 @@ class Machine:
         self,
         record_volatile_stores: bool = False,
         pm_size: int = 1 << 24,
-        space: Optional[AddressSpace] = None,
-        image: Optional[PersistentImage] = None,
     ):
-        # ``space``/``image`` accept clean pooled buffers (see
-        # :class:`~repro.memory.pool.MachinePool.acquire`); they must be
-        # indistinguishable from freshly constructed ones, so the
-        # resulting machine is too.  When ``space`` is given,
-        # ``pm_size`` is ignored.
-        if space is None:
-            space = AddressSpace(pm_size=pm_size)
-        self.space = space
-        self.image = image if image is not None else PersistentImage(space)
+        self.space = AddressSpace(pm_size=pm_size)
+        self.image = PersistentImage(self.space)
         self.cache = CacheModel(self.space, self.image)
         self._stack_provider = lambda: ()
         self.recorder = TraceRecorder(
@@ -179,9 +170,10 @@ class Machine:
         recovery code can chase the pointers it persisted.
         """
         machine = cls(pm_size=old_machine.space.pm.size)
-        machine.space.pm.data[: len(crash_image)] = crash_image
         machine.image.restore(crash_image)
-        machine.space.pm.set_brk(old_machine.space.pm.brk)
+        pm = machine.space.pm
+        pm.write_bytes(pm.base, crash_image)
+        pm.set_brk(old_machine.space.pm.brk)
         machine.pm_root_addr = old_machine.pm_root_addr
         machine.pm_root_size = old_machine.pm_root_size
         # PM globals keep their addresses (they live in the image); the

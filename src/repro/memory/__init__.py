@@ -18,7 +18,6 @@ from .layout import (
     lines_covering,
 )
 from .persistence import PersistentImage
-from .pool import MachinePool
 
 __all__ = [
     "AddressSpace",
@@ -29,7 +28,6 @@ __all__ = [
     "LineState",
     "line_of",
     "lines_covering",
-    "MachinePool",
     "PersistentImage",
     "PM_BASE",
     "Region",

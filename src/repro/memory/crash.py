@@ -21,6 +21,7 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 from ..budget import Budget
 from ..errors import BudgetExceeded
 from .cache import CacheModel
+from .layout import zero_padded
 from .persistence import PersistentImage
 
 
@@ -33,8 +34,8 @@ class CrashState:
         self.pm_base = pm_base
 
     def read(self, addr: int, size: int) -> bytes:
-        offset = addr - self.pm_base
-        return self.image[offset : offset + size]
+        """``size`` bytes at ``addr``; PM past the image reads as zero."""
+        return zero_padded(self.image, addr - self.pm_base, size)
 
     def read_int(self, addr: int, size: int) -> int:
         return int.from_bytes(self.read(addr, size), "little")

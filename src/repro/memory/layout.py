@@ -46,16 +46,29 @@ def lines_covering(addr: int, size: int) -> List[int]:
     return list(range(first, last + 1, CACHE_LINE))
 
 
+def zero_padded(buf, offset: int, size: int) -> bytes:
+    """``size`` bytes of ``buf`` at ``offset``; bytes past its end read as zero."""
+    chunk = bytes(buf[offset : offset + size])
+    if len(chunk) != size:
+        chunk += bytes(size - len(chunk))
+    return chunk
+
+
 class Region:
-    """A contiguous byte-addressable region with a bump allocator."""
+    """A contiguous byte-addressable region with a bump allocator.
+
+    Backing storage grows lazily: ``data`` holds exactly the bytes up to
+    the high-water mark (the highest offset ever allocated or written),
+    and every byte past it reads as zero.  A fresh region therefore
+    costs nothing, however large its ``size``.
+    """
 
     def __init__(self, name: str, base: int, size: int):
         self.name = name
         self.base = base
         self.size = size
-        self.data = bytearray(size)
+        self.data = bytearray()
         self._brk = 0
-        self._high_water = 0
 
     @property
     def end(self) -> int:
@@ -73,8 +86,9 @@ class Region:
             raise MemoryError_(f"region {self.name!r} exhausted")
         addr = self.base + self._brk
         self._brk += size
-        if self._brk > self._high_water:
-            self._high_water = self._brk
+        data = self.data
+        if self._brk > len(data):
+            data.extend(bytes(self._brk - len(data)))
         return addr
 
     @property
@@ -90,26 +104,8 @@ class Region:
 
     @property
     def high_water(self) -> int:
-        """Highest offset ever allocated or written.
-
-        Bytes at or beyond this offset are zero by construction, which
-        is what lets pooled reuse zero only the live prefix of a region
-        instead of all 16 MiB.
-        """
-        return self._high_water
-
-    def reset(self) -> None:
-        """Return the region to its freshly constructed state.
-
-        Only the live prefix (up to the high-water mark) can be nonzero,
-        so pooled reuse zeroes just that prefix instead of reallocating
-        the full buffer.
-        """
-        high = self._high_water
-        if high:
-            self.data[:high] = bytes(high)
-        self._brk = 0
-        self._high_water = 0
+        """Highest offset ever allocated or written (``len(data)``)."""
+        return len(self.data)
 
     # -- raw byte access --------------------------------------------------------
 
@@ -119,7 +115,11 @@ class Region:
                 f"read of {size}B at {addr:#x} outside region {self.name!r}"
             )
         offset = addr - self.base
-        return bytes(self.data[offset : offset + size])
+        # zero_padded, inlined: this is the interpreter's load path
+        chunk = bytes(self.data[offset : offset + size])
+        if len(chunk) != size:
+            chunk += bytes(size - len(chunk))
+        return chunk
 
     def write_bytes(self, addr: int, payload: bytes) -> None:
         if not self.contains(addr, len(payload)):
@@ -128,9 +128,10 @@ class Region:
             )
         offset = addr - self.base
         end = offset + len(payload)
-        self.data[offset:end] = payload
-        if end > self._high_water:
-            self._high_water = end
+        data = self.data
+        if end > len(data):
+            data.extend(bytes(end - len(data)))
+        data[offset:end] = payload
 
 
 class AddressSpace:
@@ -149,11 +150,6 @@ class AddressSpace:
         self.stack = Region("stack", STACK_BASE, stack_size)
         self.pm = Region("pm", PM_BASE, pm_size)
         self._regions = (self.vol, self.stack, self.pm)
-
-    def reset(self) -> None:
-        """Reset every region in place (pooled reuse)."""
-        for region in self._regions:
-            region.reset()
 
     # -- region queries ----------------------------------------------------------
 

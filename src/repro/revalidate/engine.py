@@ -60,7 +60,6 @@ from ..interp import ENGINES, get_default_engine, make_interpreter
 from ..interp.costs import CostModel
 from ..interp.interpreter import Interpreter, Machine
 from ..ir.module import Module
-from ..memory.pool import MachinePool
 from ..trace.trace import PMTrace
 from .recording import RecordedRun, RecordingTraceRecorder, RunRecorder
 from .synthesize import (
@@ -122,11 +121,6 @@ class IncrementalRevalidator:
     :param engine: execution engine kind, applied identically to
         recording and fallback runs (default: the process-wide default
         engine).  Both engines yield byte-identical recordings.
-    :param pool: optional :class:`~repro.memory.pool.MachinePool`;
-        recording and fallback machines then reuse pooled buffers
-        instead of reallocating (fallback machines are retired back
-        into the pool; the machine :meth:`record` returns to its caller
-        is the caller's to release).
     """
 
     def __init__(
@@ -137,7 +131,6 @@ class IncrementalRevalidator:
         fuel: int = 50_000_000,
         metrics=None,
         engine: Optional[str] = None,
-        pool: Optional[MachinePool] = None,
     ):
         self.driver = driver
         self.cost_model = cost_model
@@ -148,7 +141,6 @@ class IncrementalRevalidator:
             raise ValueError(
                 f"unknown engine {self.engine!r} (choose from {ENGINES})"
             )
-        self.pool = pool
         self.baseline: Optional[RecordedRun] = None
         self.last_outcome: Optional[RevalidationOutcome] = None
         #: anchor iids committed since the current recording
@@ -172,16 +164,6 @@ class IncrementalRevalidator:
         if self.metrics is not None and amount:
             self.metrics.counter(name).inc(amount)
 
-    def _new_machine(self) -> Machine:
-        if self.pool is None:
-            return Machine()
-        space, image = self.pool.acquire()
-        return Machine(space=space, image=image)
-
-    def _release_machine(self, machine: Machine) -> None:
-        if self.pool is not None:
-            self.pool.release(machine)
-
     # -- recording ------------------------------------------------------------
 
     def record(
@@ -202,7 +184,7 @@ class IncrementalRevalidator:
         # A recording machine keeps the volatile-op side channel (for
         # trace synthesis); its trace stays byte-identical to a plain
         # machine's.
-        machine = self._new_machine()
+        machine = Machine()
         trace_recorder = RecordingTraceRecorder(
             lambda: machine._stack_provider()
         )
@@ -243,8 +225,7 @@ class IncrementalRevalidator:
     def rebuild_baseline(self, module: Module) -> RecordedRun:
         """Re-record and return the fresh baseline (the analysis
         manager's compute hook for the ``revalidation_index`` key)."""
-        _, _, interp = self.record(module)
-        self._release_machine(interp.machine)
+        self.record(module)
         self._manager_rebuild = True
         assert self.baseline is not None
         return self.baseline
@@ -358,8 +339,7 @@ class IncrementalRevalidator:
         return outcome
 
     def _full(self, module: Module, reason: str) -> RevalidationOutcome:
-        detection, trace, interp = self.record(module)
-        self._release_machine(interp.machine)
+        detection, trace, _ = self.record(module)
         return RevalidationOutcome(
             mode="full",
             detection=detection,

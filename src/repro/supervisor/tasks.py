@@ -29,7 +29,6 @@ from ..detect import pmemcheck_run
 from ..errors import ReproError
 from ..interp import ENGINES, get_default_engine
 from ..ir.printer import format_module
-from ..memory.pool import MachinePool
 from ..obs.observability import NULL_OBS, Observability
 from ..revalidate import IncrementalRevalidator
 
@@ -77,7 +76,6 @@ def run_case(
     obs: Optional[Observability] = None,
     incremental_revalidate: bool = True,
     engine_kind: Optional[str] = None,
-    machine_pool: Any = True,
 ) -> CaseOutcome:
     """Detect, fix, and revalidate one corpus case.
 
@@ -90,66 +88,44 @@ def run_case(
     ``--no-incremental-revalidate`` escape hatch) re-runs everything
     from scratch.  ``engine_kind`` picks the execution engine for every
     run this case makes (detection, revalidation, re-runs); results are
-    byte-identical across engines.  ``machine_pool`` controls machine
-    buffer reuse across this case's runs: True (the default) builds a
-    private :class:`~repro.memory.pool.MachinePool`, a pool instance is
-    used directly (cross-case reuse — callers own thread safety), and
-    False allocates fresh buffers per run; results are byte-identical
-    either way.
+    byte-identical across engines.
     """
     obs = obs if obs is not None else NULL_OBS
     metrics = obs.metrics if obs.enabled else None
-    if isinstance(machine_pool, MachinePool):
-        pool: Optional[MachinePool] = machine_pool
-    elif machine_pool:
-        pool = MachinePool()
-    else:
-        pool = None
     module = case.build()
     engine: Optional[IncrementalRevalidator] = None
     if incremental_revalidate:
         engine = IncrementalRevalidator(
-            case.drive, metrics=metrics, engine=engine_kind, pool=pool
+            case.drive, metrics=metrics, engine=engine_kind
         )
     with obs.span("detect", case=case.case_id):
         if engine is not None:
             detection, trace, interp = engine.record(module)
         else:
             detection, trace, interp = pmemcheck_run(
-                module, case.drive, metrics=metrics, engine=engine_kind,
-                pool=pool,
+                module, case.drive, metrics=metrics, engine=engine_kind
             )
-    try:
-        fixer = Hippocrates(
-            module,
-            trace,
-            interp.machine,
-            heuristic=heuristic,
-            analysis_cache_dir=analysis_cache_dir,
-            obs=obs,
-            revalidator=engine,
-        )
-        plan = fixer.compute_fixes()
-        fix_report = fixer.apply(plan)
-        revalidation: Optional[Dict[str, Any]] = None
-        with obs.span("revalidate", case=case.case_id):
-            if engine is not None:
-                outcome = fixer.revalidate()
-                after = outcome.detection
-                revalidation = outcome.as_stats()
-            else:
-                after, _, replay_interp = pmemcheck_run(
-                    module, case.drive, metrics=metrics, engine=engine_kind,
-                    pool=pool,
-                )
-                if pool is not None:
-                    pool.release(replay_interp.machine)
-    finally:
-        # The detection machine outlives the fix phase (Hippocrates
-        # reads it for Trace-AA and observable-output checks); it is
-        # dead once the case is done.
-        if pool is not None:
-            pool.release(interp.machine)
+    fixer = Hippocrates(
+        module,
+        trace,
+        interp.machine,
+        heuristic=heuristic,
+        analysis_cache_dir=analysis_cache_dir,
+        obs=obs,
+        revalidator=engine,
+    )
+    plan = fixer.compute_fixes()
+    fix_report = fixer.apply(plan)
+    revalidation: Optional[Dict[str, Any]] = None
+    with obs.span("revalidate", case=case.case_id):
+        if engine is not None:
+            outcome = fixer.revalidate()
+            after = outcome.detection
+            revalidation = outcome.as_stats()
+        else:
+            after, _, _ = pmemcheck_run(
+                module, case.drive, metrics=metrics, engine=engine_kind
+            )
     kinds = sorted({classify_fix(f) for f in plan.fixes})
     comparison = None
     if case.developer_fix:
@@ -202,11 +178,6 @@ class RepairTask:
         (differential suite again), so the flag is likewise excluded
         from the journaled record — a resumed batch may finish under a
         different engine than it started with.
-    :param machine_pool: reuse pooled machine buffers across the task's
-        runs (detect, re-record, re-run).  Pure construction-cost
-        optimisation — pooled and fresh machines start byte-identical
-        (the differential suite enforces it) — so, like the engine
-        flag, it is excluded from the journaled record.
     """
 
     task_id: str
@@ -220,7 +191,6 @@ class RepairTask:
     analysis_cache_dir: Optional[str] = None
     incremental_revalidate: bool = True
     engine: str = "flat"
-    machine_pool: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -248,7 +218,6 @@ class RepairTask:
             "analysis_cache_dir": self.analysis_cache_dir,
             "incremental_revalidate": self.incremental_revalidate,
             "engine": self.engine,
-            "machine_pool": self.machine_pool,
         }
 
     @staticmethod
@@ -267,7 +236,6 @@ class RepairTask:
                 spec.get("incremental_revalidate", True)
             ),
             engine=spec.get("engine", get_default_engine()),
-            machine_pool=bool(spec.get("machine_pool", True)),
         )
 
 
@@ -277,7 +245,6 @@ def corpus_tasks(
     analysis_cache_dir: Optional[str] = None,
     incremental_revalidate: bool = True,
     engine: Optional[str] = None,
-    machine_pool: bool = True,
 ) -> List[RepairTask]:
     """Build the corpus batch (default: every case, corpus order)."""
     known = {case.case_id: case for case in all_cases()}
@@ -294,8 +261,7 @@ def corpus_tasks(
                        heuristic=heuristic,
                        analysis_cache_dir=analysis_cache_dir,
                        incremental_revalidate=incremental_revalidate,
-                       engine=engine or get_default_engine(),
-                       machine_pool=machine_pool)
+                       engine=engine or get_default_engine())
         )
     return tasks
 
@@ -366,7 +332,6 @@ def execute_task(task: RepairTask, obs: Optional[Observability] = None) -> TaskR
                 obs=obs,
                 incremental_revalidate=task.incremental_revalidate,
                 engine_kind=task.engine,
-                machine_pool=task.machine_pool,
             )
             digest = _module_digest(outcome.module)
             return TaskResult(

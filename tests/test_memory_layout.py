@@ -1,5 +1,7 @@
 """Unit tests for the simulated address space."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import MemoryError_, SegmentationFault
@@ -128,3 +130,37 @@ class TestSpaceQueries:
         space = AddressSpace(pm_size=1 << 20)
         lo, hi = space.pm_bounds()
         assert hi - lo == 1 << 20
+
+
+class TestLazyExtents:
+    def test_fresh_region_holds_no_bytes(self):
+        space = AddressSpace()
+        assert [len(r.data) for r in (space.vol, space.stack, space.pm)] == [0, 0, 0]
+
+    def test_data_tracks_high_water(self):
+        space = AddressSpace()
+        addr = space.alloc_pm(24)
+        assert space.pm.high_water == len(space.pm.data) == 24
+        space.write_bytes(addr + 4096, b"x")
+        assert len(space.pm.data) == 4097
+        assert space.read_bytes(addr + 24, 16) == bytes(16)  # gap reads zero
+
+    def test_reads_past_high_water_are_zero(self):
+        space = AddressSpace(pm_size=1 << 20)
+        assert space.read_bytes(PM_BASE + (1 << 20) - 8, 8) == bytes(8)
+        assert len(space.pm.data) == 0  # reading never grows a region
+
+    def test_machine_construction_allocates_under_1mib(self):
+        """Machine construction must not pay for region capacity: the
+        eager design allocated 3 x 16 MiB regions plus a 16 MiB durable
+        copy (a ~64 MiB tracemalloc peak) on every run."""
+        from repro.interp.interpreter import Machine
+
+        Machine()  # warm imports and lazy module state
+        tracemalloc.start()
+        try:
+            Machine()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

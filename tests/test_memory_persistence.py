@@ -73,3 +73,17 @@ def test_durable_read_bounds(parts):
     _, image, _ = parts
     with pytest.raises(IndexError):
         image.durable_bytes(0x5, 8)
+
+
+def test_write_back_past_cache_high_water_moves_no_other_bytes():
+    """A line that runs past the cache view's live bytes is written back
+    zero-padded to a full line, leaving later durable bytes in place."""
+    space = AddressSpace()
+    image = PersistentImage(space)
+    image.restore(bytes(128) + b"\x22" * 8)  # durable view ahead of cache view
+    addr = space.alloc_pm(8)  # cache view holds 8 live bytes
+    space.write_int(addr, 8, 0x11)
+    image.write_back_line(line_of(addr))
+    assert image.durable_bytes(addr, 8) == (0x11).to_bytes(8, "little")
+    assert image.durable_bytes(addr + 8, 120) == bytes(120)
+    assert image.durable_bytes(addr + 128, 8) == b"\x22" * 8

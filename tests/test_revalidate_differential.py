@@ -21,8 +21,6 @@ from repro.core.hippocrates import Hippocrates
 from repro.corpus.bugs import all_cases
 from repro.detect import pmemcheck_run
 from repro.faultinject.resume import run_kill_resume
-from repro.ir import I64, ModuleBuilder, PTR
-from repro.memory.pool import MachinePool
 from repro.revalidate import IncrementalRevalidator
 from repro.supervisor import RepairTask, SupervisorConfig, run_batch
 from repro.supervisor.tasks import corpus_tasks, execute_task, run_case
@@ -193,116 +191,6 @@ def test_kill_resume_matches_non_incremental_baseline(tmp_path):
     record = run_kill_resume(
         on_tasks,
         str(tmp_path / "kill-on.journal"),
-        boundary=4,
-        baseline_bytes=baseline,
-        torn=False,
-    )
-    assert record.ok, record.problems
-
-
-# ---------------------------------------------------------------------------
-# machine pooling
-# ---------------------------------------------------------------------------
-
-
-def build_two_phase_module():
-    """Two top-level entry points: ``setup`` leaves PM state pending
-    (dirty and flushing lines at the call boundary), ``finish`` stores
-    unpersisted — so a reused buffer carries nonzero bytes and
-    durability state a leaky reset would expose."""
-    mb = ModuleBuilder("twophase")
-
-    b = mb.function("setup", [], I64, source_file="twophase.c")
-    base = b.call("pm_root", [256], PTR)
-    b.store(1, base)
-    b.flush(base)  # flushing, never fenced: pending at the boundary
-    slot = b.gep(base, 64)
-    b.store(2, slot)  # dirty at the boundary
-    b.ret(0)
-
-    b = mb.function("finish", [], I64, source_file="twophase.c")
-    root = b.call("pm_root", [256], PTR)
-    slot = b.gep(root, 64)
-    b.flush(slot)
-    b.fence()
-    target = b.gep(root, 128)
-    b.store(3, target)  # a missing-flush&fence bug
-    b.call("checkpoint", [])
-    b.ret(0)
-    return mb.module
-
-
-def drive_two_phase(interp):
-    interp.call("setup")
-    interp.call("finish")
-
-
-def _region_state(region):
-    return (bytes(region.data), region.brk, region.high_water)
-
-
-def _machine_state(machine):
-    """Every byte a pooled-reuse bug could corrupt: full region buffers
-    (not just live prefixes), allocator watermarks, the durable view."""
-    space = machine.space
-    return (
-        _region_state(space.vol),
-        _region_state(space.stack),
-        _region_state(space.pm),
-        machine.image.snapshot_durable(),
-    )
-
-
-def test_pooled_detect_run_byte_identical_to_fresh():
-    """A detection run on *reused* pooled buffers must produce the same
-    trace, detection, and final machine bytes as a fresh-buffer run."""
-    module = build_two_phase_module()
-    fresh_detection, fresh_trace, fresh_interp = pmemcheck_run(
-        module, drive_two_phase
-    )
-
-    pool = MachinePool()
-    _, _, cold = pmemcheck_run(module, drive_two_phase, pool=pool)
-    pool.release(cold.machine)
-    warm_detection, warm_trace, warm = pmemcheck_run(
-        module, drive_two_phase, pool=pool
-    )
-    assert pool.hits >= 1  # the warm run actually reused buffers
-
-    assert [b.describe() for b in warm_detection.bugs] == [
-        b.describe() for b in fresh_detection.bugs
-    ]
-    assert len(warm_trace.events) == len(fresh_trace.events)
-    for ours, theirs in zip(warm_trace.events, fresh_trace.events):
-        assert ours == theirs
-    assert _machine_state(warm.machine) == _machine_state(fresh_interp.machine)
-
-
-def test_batch_reports_byte_identical_across_machine_pool_flag(tmp_path):
-    """Pooled buffer reuse is a pure allocation optimisation: the batch
-    canonical report must not change with the pool disabled."""
-    on_tasks = corpus_tasks(BATCH_CASES, machine_pool=True)
-    off_tasks = corpus_tasks(BATCH_CASES, machine_pool=False)
-    on = run_batch(on_tasks, journal_path=str(tmp_path / "pool-on.journal"),
-                   config=_fast_config())
-    off = run_batch(off_tasks, journal_path=str(tmp_path / "pool-off.journal"),
-                    config=_fast_config())
-    assert on.canonical_json() == off.canonical_json()
-
-
-def test_kill_resume_pooled_matches_unpooled_baseline(tmp_path):
-    """Kill a *pooled* batch mid-task, resume it, and compare against an
-    uninterrupted *unpooled* run: reused buffers must never leak state
-    into the canonical bytes, even across a death boundary."""
-    off_tasks = corpus_tasks(BATCH_CASES, machine_pool=False)
-    baseline = run_batch(
-        off_tasks, journal_path=str(tmp_path / "nopool.journal"),
-        config=_fast_config(),
-    ).canonical_json()
-    on_tasks = corpus_tasks(BATCH_CASES, machine_pool=True)
-    record = run_kill_resume(
-        on_tasks,
-        str(tmp_path / "kill-pool.journal"),
         boundary=4,
         baseline_bytes=baseline,
         torn=False,
